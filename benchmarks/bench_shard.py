@@ -30,10 +30,9 @@ SPECS = [
 WORKERS = max(2, min(4, os.cpu_count() or 1))
 
 #: Warm-vs-cold cell: repeated audits of the same kernel, the workload
-#: the persistent pool exists for.  Cold spawns a fresh spawn-context
-#: executor per audit (re-import + re-pickle + re-lower every time);
-#: warm reuses one ShardWorkerPool whose workers hold the prepared
-#: program.  Small rows on purpose — the cell measures dispatch
+#: the persistent pool exists for.  Cold opens a transient spawn-context
+#: pool per audit (re-import + re-pickle + re-lower every time); warm
+#: reuses one ShardWorkerPool whose workers hold the prepared program.  Small rows on purpose — the cell measures dispatch
 #: overhead, not row throughput.
 POOL_REPEATS = 4
 POOL_ROWS = 64
@@ -106,7 +105,7 @@ def test_shard_bench_report(shard_rows, pool_cell):
         "",
         f"warm pool vs cold spawn ({POOL_REPEATS} repeated audits, "
         f"{POOL_ROWS} rows):",
-        f"  cold spawn-per-audit : {pool_cell['cold_s'] * 1e3:9.1f} ms/audit",
+        f"  cold transient pool  : {pool_cell['cold_s'] * 1e3:9.1f} ms/audit",
         f"  warm persistent pool : {pool_cell['warm_s'] * 1e3:9.1f} ms/audit",
         f"  speedup              : {pool_cell['speedup']:9.1f}x",
     ]

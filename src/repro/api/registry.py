@@ -130,7 +130,7 @@ class AuditRequest:
     #: are identical to the non-composed audit wherever both apply.
     compose: bool = False
     #: a persistent :class:`~repro.semantics.pool.ShardWorkerPool` for
-    #: multiprocess engines; ``None`` keeps the spawn-per-audit default.
+    #: multiprocess engines; ``None`` runs each audit on a transient pool.
     #: Results are byte-identical either way.
     pool: Optional[Any] = None
 

@@ -12,8 +12,9 @@ audit into row-contiguous chunks, audits each chunk through a caller
 -supplied closure, and emits events as chunks finish — holding only the
 running trailer aggregates, never the full row set, which is what keeps
 the server's memory bounded on 100k-row audits.  The aggregate merge
-replicates the fleet/shard discipline byte for byte
-(:func:`merge_stream_trailers`), so a fully drained stream reassembles
+(:func:`merge_stream_trailers`) folds through the same
+:class:`~repro.api.merge.RowAggregate` as the fleet and shard merges,
+so a fully drained stream reassembles
 into the exact buffered payload via
 :func:`~repro.api.result.assemble_stream_payload`.
 
@@ -26,9 +27,9 @@ the buffered audit of the same request.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
+from .merge import RowAggregate, shift_row
 from .result import (
     AuditResult,
     assemble_stream_payload,
@@ -59,8 +60,6 @@ DEFAULT_CHUNK_ROWS = 4096
 #: slice — per-chunk setup is paid once either way, so a short opener
 #: trims first-row latency without hurting throughput on the tail.
 DEFAULT_FIRST_CHUNK_ROWS = 256
-
-_DEC_ZERO = Decimal(0)
 
 #: One stream event: ``("header" | "row" | "trailer", line_object)``.
 StreamEvent = Tuple[str, Dict[str, Any]]
@@ -113,47 +112,31 @@ def ramp_chunk_bounds(
 def merge_stream_trailers(
     a: Dict[str, Any], b: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Fold two trailer aggregates into one, fleet-merge style.
+    """Fold two trailer aggregates into one (``a``'s rows come first).
 
-    Verdict counters add, ``all_sound`` conjoins, and each parameter's
-    max distance starts at ``Decimal(0)`` and advances only on
-    strictly-greater comparison — the first operand attaining the
-    maximum supplies the rendered string, exactly as the first *row*
-    attaining it does in a buffered run.  Associative, which is what
-    makes incremental chunk-by-chunk merging equal to the one-shot
-    merge (and to the buffered aggregates).
+    Checks that both trailers audit the same parameters against the
+    same bounds, then folds them through
+    :class:`~repro.api.merge.RowAggregate` — the row-merge rule every
+    split surface shares.  Associative, which is what makes incremental
+    chunk-by-chunk merging equal to the one-shot merge (and to the
+    buffered aggregates).
     """
-    params: Dict[str, Any] = {}
     if set(a["params"]) != set(b["params"]):
         raise StreamProtocolError(
             "cannot merge stream trailers: parameter sets differ"
         )
-    for name, entry_a in a["params"].items():
-        entry_b = b["params"][name]
-        bound_text = entry_a["bound"]
-        if entry_b["bound"] != bound_text:
+    bounds = {name: entry["bound"] for name, entry in a["params"].items()}
+    for name, bound_text in bounds.items():
+        other = b["params"][name]["bound"]
+        if other != bound_text:
             raise StreamProtocolError(
                 f"cannot merge stream trailers: bound for {name!r} differs "
-                f"({bound_text!r} vs {entry_b['bound']!r})"
+                f"({bound_text!r} vs {other!r})"
             )
-        best = _DEC_ZERO
-        best_text = str(_DEC_ZERO)
-        for entry in (entry_a, entry_b):
-            distance = Decimal(entry["max_distance"])
-            if distance > best:
-                best = distance
-                best_text = entry["max_distance"]
-        params[name] = {
-            "max_distance": best_text,
-            "bound": bound_text,
-            "within_bound": best <= Decimal(bound_text),
-        }
-    return {
-        "all_sound": bool(a["all_sound"] and b["all_sound"]),
-        "sound_rows": a["sound_rows"] + b["sound_rows"],
-        "fallback_rows": a["fallback_rows"] + b["fallback_rows"],
-        "params": params,
-    }
+    aggregate = RowAggregate(bounds)
+    aggregate.add_payload(a)
+    aggregate.add_payload(b)
+    return aggregate.trailer(bounds)
 
 
 def stream_audit_events(
@@ -191,9 +174,7 @@ def stream_audit_events(
                 aggregate, stream_trailer_of_payload(payload)
             )
         for row in payload["rows"]:
-            # Re-anchor the chunk-local index at the chunk offset; the
-            # dict splat keeps "row" in its leading key position.
-            yield ("row", {**row, "row": row["row"] + lo})
+            yield ("row", shift_row(row, lo))
     yield ("trailer", aggregate)
 
 

@@ -1,24 +1,24 @@
-"""Persistent shard workers: a warm, crash-safe process pool.
+"""Shard workers: the one crash-safe process pool sharded audits run on.
 
-:func:`~repro.semantics.shard.run_witness_sharded` spawns a fresh
-``ProcessPoolExecutor`` per audit: every call pays process startup,
-re-pickles the definition/program ASTs on a deep stack, and has each
-worker re-lower semantic + inlined IR from scratch.  For a server whose
-fleet deliberately routes repeat fingerprints to the same node (so its
-prepared tables stay hot), that fixed cost lands on *every* ``--workers``
-request.
+:func:`~repro.semantics.shard.run_witness_sharded` runs its shards on a
+:class:`ShardWorkerPool` — a warm one the caller keeps across audits
+(``pool=``), or a transient one opened for a single audit and closed
+after it.  A transient pool pays process startup, AST pickling and the
+workers' re-lowering on every audit; a warm pool pays them once per
+program.  For a server whose fleet deliberately routes repeat
+fingerprints to the same node (so its prepared tables stay hot), that
+difference lands on *every* ``--workers`` request.
 
-:class:`ShardWorkerPool` amortizes all three across audits:
+The pool's machinery:
 
 * **long-lived spawn-safe workers** — each worker is one
-  ``multiprocessing`` process (default start method: ``spawn``; nothing
-  relies on forked state) holding a **fingerprint-keyed prepared-program
-  table**: a bounded LRU of unpickled ASTs plus the engines built from
-  them.  Because the tables preserve object identity, a warm worker's
-  engine rebuilds hit the identity-keyed IR caches
-  (:mod:`repro.ir.cache`) — a repeat audit of a known fingerprint skips
-  unpickling *and* re-lowering; the dispatch message is just
-  ``(fingerprint, row slice, config)``.
+  ``multiprocessing`` process (nothing relies on forked state) holding
+  a **fingerprint-keyed prepared-program table**: a bounded LRU of
+  unpickled ASTs plus the engines built from them.  Because the tables
+  preserve object identity, a warm worker's engine rebuilds hit the
+  identity-keyed IR caches (:mod:`repro.ir.cache`) — a repeat audit of
+  a known fingerprint skips unpickling *and* re-lowering; the dispatch
+  message is just ``(fingerprint, row slice, config)``.
 * **shared-memory row transport** — input columns travel as one
   ``multiprocessing.shared_memory`` float64 block the workers slice
   in place, and the per-row ``sound``/``exact`` verdict bits come back
@@ -33,11 +33,11 @@ request.
   byte-identical to an undisturbed run, the same discipline the fleet
   applies to node death.
 
-The pool is shared: :class:`repro.api.session.Session` lazily owns one
-(``Session(pool=True)``, shut down by ``Session.close()``/``with``),
-``repro serve --pool`` shares a single pool across all sharded requests,
-and ``/stats`` exposes the counters from :meth:`ShardWorkerPool.stats`.
-Spawn-per-audit remains the default — a pool only pays off when audits
+A warm pool is shared: :class:`repro.api.session.Session` lazily owns
+one (``Session(pool=True)``, shut down by ``Session.close()``/``with``),
+``repro serve --pool`` shares a single pool across all sharded
+requests, and ``/stats`` exposes the counters from
+:meth:`ShardWorkerPool.stats`.  A warm pool only pays off when audits
 repeat.
 """
 
@@ -65,8 +65,8 @@ from ..core.deepstack import call_with_deep_stack
 
 __all__ = ["ShardWorkerPool", "default_pool", "close_default_pool"]
 
-#: What one shard hands back for merging — the exact shape of
-#: :func:`repro.semantics.shard._run_shard`'s return value.
+#: What one shard hands back for merging (in shard order, from
+#: :meth:`ShardWorkerPool.run_shards`).
 ShardResult = Tuple[
     np.ndarray,  # sound  (bool, one slot per slice row)
     np.ndarray,  # exact  (bool)
@@ -288,9 +288,11 @@ class ShardWorkerPool:
     ``workers=None`` sizes the pool to ``os.cpu_count()``.
     ``max_prepared`` bounds each worker's fingerprint-keyed
     prepared-program LRU, mirroring the server's ``--max-prepared``.
-    ``mp_context`` selects the start method (default ``spawn`` — the
-    workers never rely on forked state, and spawn is the one method
-    that is safe from a threaded server).
+    ``mp_context`` names the start method, passed to
+    :func:`multiprocessing.get_context` unchanged (default ``spawn`` —
+    the workers never rely on forked state, and spawn is the one
+    method that is safe from a threaded server; ``None`` is the
+    platform default).
 
     Workers start lazily on the first :meth:`run_shards`;
     :meth:`close` (or the context manager) shuts them down.  One audit
@@ -303,7 +305,7 @@ class ShardWorkerPool:
         self,
         workers: Optional[int] = None,
         *,
-        mp_context: str = "spawn",
+        mp_context: Optional[str] = "spawn",
         max_prepared: int = 32,
     ) -> None:
         if workers is None:
@@ -518,10 +520,8 @@ class ShardWorkerPool:
     ) -> List[ShardResult]:
         """Certify ``bounds``-sliced row shards across the warm workers.
 
-        Returns one :data:`ShardResult` per shard, in shard order —
-        exactly what spawn-per-audit workers return, so
-        :func:`repro.semantics.shard.run_witness_sharded` merges both
-        paths with the same code (and the same bytes).
+        Returns one :data:`ShardResult` per shard, in shard order, for
+        :func:`repro.semantics.shard.run_witness_sharded` to merge.
         """
         shards = len(bounds) - 1
         if shards < 1:

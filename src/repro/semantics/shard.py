@@ -4,8 +4,9 @@ The vectorized :class:`~repro.semantics.batch.BatchWitnessEngine` spends
 its time in NumPy array kernels and ``Decimal`` object loops — CPU-bound
 pure-Python work the GIL serializes onto one core.
 :func:`run_witness_sharded` splits the environment rows into contiguous
-shards, certifies each shard in its own ``ProcessPoolExecutor`` worker,
-and merges the per-shard results into one
+shards, certifies each shard on a
+:class:`~repro.semantics.pool.ShardWorkerPool` worker, and folds the
+per-shard results into one
 :class:`~repro.semantics.batch.BatchWitnessReport`, row indices intact.
 
 Design points:
@@ -15,103 +16,44 @@ Design points:
   ``n_rows % W`` shards one row longer (:func:`shard_bounds`), so the
   merged report's row ``i`` is always input row ``i`` regardless of
   worker scheduling;
-* **spawn-safe workers** — the definition and program ASTs are pickled
-  once in the parent (on a deep auxiliary stack: benchmark programs
-  nest thousands of ``let`` binders, deeper than the default pickler
-  recursion allows) and each worker unpickles and **re-lowers the IR
-  locally**; nothing relies on forked interpreter state, so the pool
-  works under any multiprocessing start method;
+* **one executor** — the shards run on a warm pool passed as ``pool=``,
+  or else on a transient pool opened for this one audit and closed
+  after it; either way the workers unpickle the ASTs and **re-lower the
+  IR locally**, nothing relies on forked interpreter state, and a
+  worker that dies mid-shard is restarted and its slice re-dispatched;
 * **bit-identical results** — every shard runs the same engine
-  configuration on its row slice, and the engine is bitwise equal to
-  looping :func:`~repro.semantics.witness.run_witness`; the merged
-  verdicts, distances, and captured per-row errors are exactly those of
-  a single-process run.  Lazy per-row reports materialize in the parent
+  configuration on its row slice, the engine is bitwise equal to
+  looping :func:`~repro.semantics.witness.run_witness`, and the shard
+  results fold through :class:`repro.api.merge.RowAggregate` (the one
+  row-merge rule every split surface shares); the merged verdicts,
+  distances, and captured per-row errors are exactly those of a
+  single-process run.  Lazy per-row reports materialize in the parent
   by running the scalar witness on demand (reports cannot cross the
   process boundary — they hold closures over engine state).
 
 ``workers=None`` uses ``os.cpu_count()``; with one worker (or one row)
 the call degrades to an in-process :func:`run_witness_batch`, so callers
-can pass ``--workers`` unconditionally.
-
-Spawn-per-audit is the default; passing ``pool=`` (a
-:class:`~repro.semantics.pool.ShardWorkerPool`) dispatches the same
-shards to persistent warm workers instead — byte-identical results,
-none of the per-audit spawn/pickle/re-lower cost.  Setting
-``REPRO_POOL=1`` routes every sharded run through a process-default
-pool (how the nightly soak exercises pooled execution).
+can pass ``--workers`` unconditionally.  Setting ``REPRO_POOL=1``
+routes every sharded run without ``pool=`` through a process-default
+warm pool (how the nightly soak exercises pooled execution).
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from decimal import Decimal
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Any, ContextManager, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..api.merge import RowAggregate, shard_bounds
 from ..core import ast_nodes as A
-from ..core.deepstack import call_with_deep_stack
 from ..core.grades import BINARY64_UNIT_ROUNDOFF
 from .batch import BatchWitnessEngine, BatchWitnessReport
+from .pool import ShardWorkerPool, default_pool
 from .witness import run_witness
 
-if TYPE_CHECKING:
-    from .pool import ShardWorkerPool
-
 __all__ = ["run_witness_sharded", "shard_bounds"]
-
-_DEC_ZERO = Decimal(0)
-
-
-def shard_bounds(n_rows: int, shards: int) -> List[int]:
-    """Contiguous shard boundaries: ``shards + 1`` increasing offsets.
-
-    Rows are balanced to within one: the first ``n_rows % shards``
-    shards take ``ceil(n_rows / shards)`` rows, the rest the floor.
-    """
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    base, extra = divmod(n_rows, shards)
-    bounds = [0]
-    for i in range(shards):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-    return bounds
-
-
-def _run_shard(blob: bytes, columns: Dict[str, np.ndarray], u: float,
-               engine_options: Dict, cache_dir: Optional[str] = None,
-               compose: bool = False):
-    """Worker body: re-lower the IR locally and certify one row slice.
-
-    Returns a picklable summary — the lazy per-row reports stay behind
-    (they close over worker-local engine state).  With ``cache_dir``,
-    the worker warm-starts its re-lowering (semantic IR, inlined IR,
-    inferred judgments) from the shared on-disk artifact cache the
-    parent populated, instead of recomputing them from the AST.  Under
-    ``compose`` the execution IR is re-planned locally from composed
-    summaries (:func:`repro.semantics.pool._build_engine`) — planning
-    is deterministic, so shipping the flag beats shipping the IR.
-    """
-    if cache_dir:
-        from ..service.cache import activate
-
-        activate(cache_dir)
-    from .pool import _build_engine
-
-    definition, program = call_with_deep_stack(pickle.loads, blob)
-    engine = _build_engine(definition, program, u, engine_options, compose)
-    report = engine.run(columns)
-    return (
-        np.asarray(report.sound),
-        np.asarray(report.exact),
-        report.errors,
-        report.param_max_distance,
-        report.fallback_rows,
-        report.rows,
-    )
 
 
 def run_witness_sharded(
@@ -123,9 +65,9 @@ def run_witness_sharded(
     workers: Optional[int] = None,
     mp_context: Optional[str] = None,
     cache_dir: Optional[str] = None,
-    pool: Optional["ShardWorkerPool"] = None,
+    pool: Optional[ShardWorkerPool] = None,
     compose: bool = False,
-    **engine_options,
+    **engine_options: Any,
 ) -> BatchWitnessReport:
     """Certify a batch of environments across ``workers`` processes.
 
@@ -133,9 +75,15 @@ def run_witness_sharded(
     :func:`~repro.semantics.batch.run_witness_batch`; ``engine_options``
     are the engine's configuration kwargs (``precision``, ``rounding``,
     ``seed``, ``precision_bits``).  A pre-built lens cannot ship to
-    worker processes — pass its configuration instead.  ``mp_context``
-    selects the multiprocessing start method (default: the platform's);
-    the workers are spawn-safe either way.
+    worker processes — pass its configuration instead.
+
+    ``pool`` dispatches the shards to a persistent
+    :class:`~repro.semantics.pool.ShardWorkerPool` (repeat audits of a
+    known fingerprint skip pickling and re-lowering).  Without it the
+    audit opens a transient pool of one worker per shard and closes it
+    afterwards; ``mp_context`` selects that pool's multiprocessing start
+    method (default: the platform's).  Results are byte-identical
+    either way.
 
     ``cache_dir`` names a shared on-disk artifact cache
     (:class:`repro.service.cache.ArtifactCache`): the parent activates
@@ -144,11 +92,8 @@ def run_witness_sharded(
     re-lowering from the pickled AST.  Results are bitwise identical
     either way; the cache only changes who pays for lowering.
 
-    ``pool`` dispatches the shards to a persistent
-    :class:`~repro.semantics.pool.ShardWorkerPool` instead of spawning
-    a fresh executor (byte-identical results; repeat audits of a known
-    fingerprint skip pickling and re-lowering).  With ``compose=True``
-    the execution IR is planned from composed per-definition summaries
+    With ``compose=True`` the execution IR is planned from composed
+    per-definition summaries
     (:func:`repro.compose.engine.compose_execution_ir`) in the parent
     and re-planned deterministically in every worker — payload bytes
     are unchanged vs the non-composed audit.
@@ -164,8 +109,6 @@ def run_witness_sharded(
 
         activate(cache_dir)
     if pool is None and os.environ.get("REPRO_POOL"):
-        from .pool import default_pool
-
         pool = default_pool()
     parent_options = dict(engine_options)
     if compose and program is not None:
@@ -194,13 +137,14 @@ def run_witness_sharded(
         return engine.run(inputs)
 
     bounds = shard_bounds(n_rows, shards)
-    if pool is not None:
-        # Persistent warm workers: the pool fingerprints the program,
-        # skips the blob for prepared workers, and moves the rows
-        # through shared memory.  Same per-shard result shape, so the
-        # merge below is shared — and byte-identical — with the
-        # spawn-per-audit path.
-        results = pool.run_shards(
+    # Without a warm pool, a transient one serves this audit alone.
+    executor: ContextManager[ShardWorkerPool] = (
+        ShardWorkerPool(shards, mp_context=mp_context)
+        if pool is None
+        else contextlib.nullcontext(pool)
+    )
+    with executor as runner:
+        results = runner.run_shards(
             definition,
             program,
             columns,
@@ -210,62 +154,22 @@ def run_witness_sharded(
             cache_dir=cache_dir,
             compose=compose,
         )
-    else:
-        # Pickle the ASTs once, on a deep stack (let-chains nest past
-        # the default pickler recursion depth); workers get opaque
-        # bytes.
-        blob = call_with_deep_stack(
-            pickle.dumps, (definition, program), pickle.HIGHEST_PROTOCOL
-        )
-        ctx = (
-            multiprocessing.get_context(mp_context)
-            if isinstance(mp_context, str)
-            else mp_context
-        )
-        with ProcessPoolExecutor(max_workers=shards, mp_context=ctx) as spawned:
-            futures = [
-                spawned.submit(
-                    _run_shard,
-                    blob,
-                    {
-                        name: arr[bounds[i]: bounds[i + 1]]
-                        for name, arr in columns.items()
-                    },
-                    u,
-                    engine_options,
-                    cache_dir,
-                    compose,
-                )
-                for i in range(shards)
-            ]
-            results = [f.result() for f in futures]
 
-    sound = np.concatenate([r[0] for r in results])
-    exact = np.concatenate([r[1] for r in results])
-    errors: Dict[int, BaseException] = {}
-    fallback_rows = 0
-    max_dist: Dict[str, Decimal] = {
-        p.name: _DEC_ZERO for p in definition.params
-    }
-    rows = [] if engine.collect_rows else None
-    for i, (_, _, shard_errors, shard_dist, shard_fallback,
-            shard_rows) in enumerate(results):
-        offset = bounds[i]
-        for row, exc in shard_errors.items():
-            errors[offset + row] = exc
-        fallback_rows += shard_fallback
-        for name, dist in shard_dist.items():
-            if dist > max_dist[name]:
-                max_dist[name] = dist
-        if rows is not None:
-            # Re-anchor each shard's local row indices at its offset so
-            # the merged rows are exactly the whole-batch run's.
-            rows.extend(
-                (offset + r, s, e, d, exc)
-                for (r, s, e, d, exc) in shard_rows
-            )
+    aggregate = RowAggregate(
+        (p.name for p in definition.params), rows=engine.collect_rows
+    )
+    for (lo, hi), (_, _, errors, dist, fallback, rows) in zip(
+        zip(bounds, bounds[1:]), results
+    ):
+        aggregate.add(
+            hi - lo,
+            errors=errors,
+            fallback_rows=fallback,
+            distances=dist.items(),
+            rows=rows or (),
+        )
 
-    def materialize(i: int):
+    def materialize(i: int) -> Any:
         # Row reports cannot travel between processes; rebuild on demand
         # with the scalar runner, which the engine is bit-identical to.
         return run_witness(
@@ -279,13 +183,13 @@ def run_witness_sharded(
     return BatchWitnessReport(
         definition,
         n_rows,
-        sound,
-        exact,
-        errors,
+        np.concatenate([r[0] for r in results]),
+        np.concatenate([r[1] for r in results]),
+        aggregate.errors,
         materialize,
-        max_dist,
+        aggregate.max_distances(),
         dict(engine._bounds),
-        fallback_rows=fallback_rows,
+        fallback_rows=aggregate.fallback_rows,
         exact_backend=engine.exact_backend,
-        rows=rows,
+        rows=aggregate.rows,
     )

@@ -13,24 +13,20 @@ processes and across requests:
   write-then-rename, digest verification on read, and LRU eviction.
   :func:`~repro.service.cache.activate` plugs it in as the outer layer
   behind the identity-keyed in-memory caches of :mod:`repro.ir.cache`,
-  and warm-starts the spawn-per-worker re-lowering in
-  :mod:`repro.semantics.shard`;
-* :mod:`repro.service.audit` — the legacy audit entry point
-  (:func:`~repro.service.audit.perform_audit`), now a deprecation shim
-  over :class:`repro.api.Session` — the CLI and server call the
-  Session directly, so served responses are bitwise identical to
-  one-shot CLI runs by construction;
+  and warm-starts the per-worker re-lowering of
+  :mod:`repro.semantics.pool`;
 * :mod:`repro.service.protocol` — a minimal HTTP/1.1 reader/writer
   over asyncio streams (stdlib only); the JSON payload schema lives in
   :mod:`repro.api.result`;
 * :mod:`repro.service.server` — ``repro serve``: an asyncio audit
   server that coalesces concurrent requests for the same program hash
-  and dispatches batches through the batch/sharded witness engines;
+  and dispatches every audit through :class:`repro.api.Session` — the
+  CLI's own path, so served responses are bitwise identical to one-shot
+  CLI runs by construction;
 * :mod:`repro.service.client` — ``repro client``: a blocking HTTP
   client for the audit protocol.
 """
 
-from .audit import parse_roundoff, perform_audit
 from .cache import ArtifactCache, activate, active_cache, deactivate
 from .fingerprint import fingerprint_definition, fingerprint_program
 from .server import AuditServer
@@ -43,6 +39,4 @@ __all__ = [
     "deactivate",
     "fingerprint_definition",
     "fingerprint_program",
-    "parse_roundoff",
-    "perform_audit",
 ]

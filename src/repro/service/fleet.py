@@ -11,11 +11,10 @@ instead of every node churning through all of it.
 Large batch audits additionally **split into row-contiguous
 sub-requests** fanned across the healthy nodes and merged back into one
 batch payload — byte-identical to the single-node response, because the
-merge replicates the shard-merge discipline of
-:func:`repro.semantics.shard.run_witness_sharded` exactly (contiguous
-balanced row slices via :func:`~repro.semantics.shard.shard_bounds`,
-offset error rows, per-parameter max distance by strictly-greater
-``Decimal`` comparison from zero).
+merge folds through the same :class:`~repro.api.merge.RowAggregate` as
+:func:`repro.semantics.shard.run_witness_sharded` (contiguous balanced
+row slices, offset error rows, per-parameter max distance by
+strictly-greater ``Decimal`` comparison from zero).
 
 Dispatch is health- and retry-aware:
 
@@ -54,7 +53,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import (
     Any,
     Callable,
@@ -69,6 +67,7 @@ from typing import (
     Union,
 )
 
+from ..api.merge import RowAggregate, shard_bounds, shift_row
 from ..api.result import SCHEMA_VERSION, AuditResult, render_payload
 from ..api.stream import (
     StreamEvent,
@@ -112,7 +111,6 @@ _MERGE_HEADER = (
 )
 
 _MISSING = object()
-_DEC_ZERO = Decimal(0)
 
 
 class FleetError(ValueError):
@@ -254,14 +252,12 @@ def merge_batch_payloads(
     """Merge row-contiguous batch sub-payloads into the single-node payload.
 
     ``payloads`` must be in **row order** (shard *i* holds rows
-    ``[bounds[i], bounds[i+1])``).  The merge replicates
-    :func:`repro.semantics.shard.run_witness_sharded` byte for byte:
-    verdict lists concatenate, error rows offset by the preceding row
-    count (ascending, so the rendered dict iterates in the single-node
-    order), and each parameter's max distance starts at ``Decimal(0)``
-    and advances only on strictly-greater comparison — the first shard
-    attaining the maximum supplies the rendered string, exactly as the
-    first *row* attaining it does in a single-node run.
+    ``[bounds[i], bounds[i+1])``).  After checking that the parts
+    belong to one audit — same header, parameters and bounds, and a
+    ``rows`` section on all of them or none — verdict lists concatenate
+    and everything else folds through
+    :class:`~repro.api.merge.RowAggregate`, the row-merge rule
+    :func:`repro.semantics.shard.run_witness_sharded` uses too.
     """
     if not payloads:
         raise FleetError("nothing to merge: no sub-payloads")
@@ -283,76 +279,42 @@ def merge_batch_payloads(
             raise FleetError(
                 "cannot merge sub-audits: parameter sets differ"
             )
-
-    merged: Dict[str, Any] = {
-        key: first[key]
-        for key in (
-            "schema_version", "definition", "engine", "u",
-            "precision_bits", "exact_backend",
-        )
-    }
-    if "workers" in first:
-        merged["workers"] = first["workers"]
-    sound: List[bool] = []
-    exact: List[bool] = []
-    errors: Dict[str, Any] = {}
-    offset = 0
-    sound_rows = 0
-    fallback_rows = 0
-    for payload in payloads:
-        sound.extend(payload["sound"])
-        exact.extend(payload["exact"])
-        for row_text in sorted(payload["errors"], key=int):
-            errors[str(int(row_text) + offset)] = payload["errors"][row_text]
-        sound_rows += payload["sound_rows"]
-        fallback_rows += payload["fallback_rows"]
-        offset += payload["n_rows"]
-    merged["n_rows"] = offset
-    merged["all_sound"] = all(payload["all_sound"] for payload in payloads)
-    merged["sound_rows"] = sound_rows
-    merged["fallback_rows"] = fallback_rows
-    merged["sound"] = sound
-    merged["exact"] = exact
-    merged["errors"] = errors
-    params: Dict[str, Any] = {}
-    for name in first["params"]:
-        bound_text = first["params"][name]["bound"]
-        best = _DEC_ZERO
-        best_text = str(_DEC_ZERO)
+    bounds = {name: entry["bound"] for name, entry in first["params"].items()}
+    for name, bound_text in bounds.items():
         for payload in payloads:
-            entry = payload["params"][name]
-            if entry["bound"] != bound_text:
+            other = payload["params"][name]["bound"]
+            if other != bound_text:
                 raise FleetError(
                     f"cannot merge sub-audits: bound for {name!r} differs "
-                    f"({bound_text!r} vs {entry['bound']!r})"
+                    f"({bound_text!r} vs {other!r})"
                 )
-            distance = Decimal(entry["max_distance"])
-            if distance > best:
-                best = distance
-                best_text = entry["max_distance"]
-        params[name] = {
-            "max_distance": best_text,
-            "bound": bound_text,
-            "within_bound": best <= Decimal(bound_text),
-        }
-    merged["params"] = params
-    if any("rows" in payload for payload in payloads):
-        if not all("rows" in payload for payload in payloads):
-            raise FleetError(
-                "cannot merge sub-audits: only some carry a rows section"
-            )
-        # Re-anchor each shard's row indices at its global offset; the
-        # dict splat keeps "row" in its leading key position.  "rows"
-        # is the last payload key, as in a buffered v4 response.
-        rows: List[Dict[str, Any]] = []
-        offset = 0
-        for payload in payloads:
-            rows.extend(
-                {**row, "row": row["row"] + offset}
-                for row in payload["rows"]
-            )
-            offset += payload["n_rows"]
-        merged["rows"] = rows
+    with_rows = ["rows" in payload for payload in payloads]
+    if any(with_rows) and not all(with_rows):
+        raise FleetError(
+            "cannot merge sub-audits: only some carry a rows section"
+        )
+
+    aggregate = RowAggregate(bounds, rows=all(with_rows))
+    sound: List[bool] = []
+    exact: List[bool] = []
+    for payload in payloads:
+        aggregate.add_payload(payload)
+        sound.extend(payload["sound"])
+        exact.extend(payload["exact"])
+    merged: Dict[str, Any] = {
+        key: first[key] for key in _MERGE_HEADER if key in first
+    }
+    merged["n_rows"] = aggregate.n_rows
+    merged["all_sound"] = aggregate.all_sound
+    merged["sound_rows"] = aggregate.sound_rows
+    merged["fallback_rows"] = aggregate.fallback_rows
+    merged["sound"] = sound
+    merged["exact"] = exact
+    merged["errors"] = {str(row): e for row, e in aggregate.errors.items()}
+    merged["params"] = aggregate.params(bounds)
+    if aggregate.rows is not None:
+        # "rows" is the last payload key, as in a buffered v4 response.
+        merged["rows"] = aggregate.rows
     return merged
 
 
@@ -700,8 +662,6 @@ class FleetDispatcher:
             if split is None:
                 return None
             shards = 2  # split forced: two shards is the minimum fan-out
-        from ..semantics.shard import shard_bounds
-
         bounds = shard_bounds(n_rows, shards)
         inputs = spec["inputs"]
         sub_specs = []
@@ -929,7 +889,7 @@ class FleetDispatcher:
                                 f"{head!r})"
                             )
                     elif kind == "row":
-                        yield ("row", {**obj, "row": obj["row"] + offsets[index]})
+                        yield ("row", shift_row(obj, offsets[index]))
                     else:
                         aggregate = (
                             obj

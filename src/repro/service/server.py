@@ -39,8 +39,10 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..api import Session, UnknownEngineError
+from ..api.merge import shift_row
 from ..api.registry import get_engine
 from ..api.result import (
+    render_payload,
     render_stream_line,
     stream_header_of_payload,
     stream_trailer_of_payload,
@@ -63,7 +65,6 @@ from .protocol import (
     http_response,
     http_stream_head,
     read_request,
-    render_payload,
 )
 
 __all__ = ["AuditServer", "ServerHandle", "serve"]
@@ -501,7 +502,7 @@ class AuditServer:
                         aggregate, stream_trailer_of_payload(payload)
                     )
                 lines.extend(
-                    render_stream_line({**row, "row": row["row"] + lo})
+                    render_stream_line(shift_row(row, lo))
                     for row in payload["rows"]
                 )
             except Exception as exc:  # noqa: BLE001 - mapped below
@@ -758,6 +759,8 @@ class ServerHandle:
         self.server = server
         self.loop = loop
         self.thread = thread
+        self._stop_lock = threading.Lock()
+        self._stopped = False
 
     @property
     def port(self) -> int:
@@ -768,15 +771,26 @@ class ServerHandle:
         return self.server.host
 
     def stop(self, timeout: float = 10.0) -> None:
-        async def _shutdown() -> None:
-            await self.server.stop()
+        """Shut the server down, join its thread and close its loop.
 
-        future = asyncio.run_coroutine_threadsafe(_shutdown(), self.loop)
+        Idempotent: only the first call does the work, so a test that
+        kills a node early and a fixture that stops every node later
+        never schedule a shutdown on a loop that no longer runs.
+        """
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+        future = asyncio.run_coroutine_threadsafe(
+            self.server.stop(), self.loop
+        )
         try:
             future.result(timeout=timeout)
         finally:
             self.loop.call_soon_threadsafe(self.loop.stop)
             self.thread.join(timeout=timeout)
+            if not self.thread.is_alive():
+                self.loop.close()
 
 
 def serve(server: AuditServer, *, timeout: float = 30.0) -> ServerHandle:

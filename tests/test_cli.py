@@ -1,6 +1,9 @@
 """Tests for the repro-bean command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,6 +75,34 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.bean"]) == 1
+
+    def test_cold_check_imports_no_numpy(self):
+        # `repro check` is the cold static-inference path: it must not
+        # load NumPy or the batch/shard engines (each costs start-up).
+        root = os.path.join(os.path.dirname(__file__), "..")
+        script = (
+            "import runpy, sys\n"
+            "sys.argv = ['repro', 'check', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('repro.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "heavy = ('numpy', 'repro.semantics.batch', 'repro.semantics.shard')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script,
+             os.path.join(root, "examples", "bean", "safediv4.bean")],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestWitness:

@@ -370,9 +370,10 @@ def _sliced(inputs, lo, hi):
 
 
 class TestMergeBatchPayloads:
-    def test_merge_replicates_single_node_bytes(self):
+    @pytest.mark.parametrize("splits", [2, 3, 5])
+    def test_merge_replicates_single_node_bytes(self, splits):
         _, full_out = _witness_payload(WIDE_INPUTS)
-        bounds = shard_bounds(20, 3)
+        bounds = shard_bounds(20, splits)
         parts = [
             _witness_payload(_sliced(WIDE_INPUTS, lo, hi))[0]
             for lo, hi in zip(bounds, bounds[1:])

@@ -1,10 +1,10 @@
 """Persistent shard-worker pool: parity, crash recovery, transport.
 
-The contract under test is byte-for-byte: a pooled sharded audit must
-produce exactly the bytes of the spawn-per-audit path (which is itself
-pinned against the single-process batch engine in ``test_shard.py`` and
-``test_engine_parity.py``) — including when a worker is SIGKILLed
-mid-audit and the pool restarts + re-dispatches.  Beyond parity this
+The contract under test is byte-for-byte: an audit on a warm pool must
+produce exactly the bytes of an audit on a transient per-audit pool
+(which is itself pinned against the single-process batch engine in
+``test_shard.py`` and ``test_engine_parity.py``) — including when a
+worker is SIGKILLed mid-audit and the pool restarts + re-dispatches.  Beyond parity this
 module covers the pool's own machinery: the fingerprint-keyed
 prepared-program LRU (hits, misses, evictions, the ``need-program``
 reconciliation round-trip), shared-memory segment hygiene on success
@@ -67,15 +67,16 @@ def _assert_report_parity(pooled, single):
 
 class TestPooledParity:
     def test_matches_batch_and_spawn_with_errors(self, pool):
+        # Warm pool == transient per-audit pool == one process.
         definition = vec_sum(6)
         columns = _poisoned_columns()
         single = run_witness_batch(definition, columns)
-        spawned = run_witness_sharded(definition, columns, workers=2)
+        transient = run_witness_sharded(definition, columns, workers=2)
         pooled = run_witness_sharded(
             definition, columns, workers=2, pool=pool
         )
         _assert_report_parity(pooled, single)
-        _assert_report_parity(pooled, spawned)
+        _assert_report_parity(pooled, transient)
         assert set(pooled.errors) == {0, 9, 22}
 
     def test_decimal_backend_parity(self, pool):
@@ -278,6 +279,36 @@ class TestLifecycle:
     def test_workers_start_lazily(self):
         with ShardWorkerPool(2, mp_context="spawn") as p:
             assert p.stats()["workers_alive"] == 0
+
+    def test_default_mp_context_is_the_platform_start_method(self, monkeypatch):
+        # ``mp_context=None`` reaches get_context unchanged: a transient
+        # pool must not silently switch a fork platform to spawn.
+        import multiprocessing
+
+        import repro.semantics.shard as shard_mod
+
+        opened = []
+
+        class Recording(ShardWorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(shard_mod, "ShardWorkerPool", Recording)
+        definition = vec_sum(3)
+        rng = np.random.default_rng(37)
+        columns = {"x": rng.uniform(0.5, 4.0, (6, 3))}
+        report = run_witness_sharded(definition, columns, workers=2)
+        _assert_report_parity(report, run_witness_batch(definition, columns))
+        assert len(opened) == 1
+        transient = opened[0]
+        assert (
+            transient._ctx.get_start_method()
+            == multiprocessing.get_start_method()
+        )
+        # The transient pool is closed when the audit returns.
+        assert transient._closed
+        assert transient.stats()["workers_alive"] == 0
 
 
 class TestSessionPool:

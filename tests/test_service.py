@@ -16,6 +16,7 @@ Three contracts under test:
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -23,6 +24,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
+import warnings
 
 import pytest
 
@@ -505,6 +508,28 @@ class TestAuditServer:
         finally:
             handle.stop()
             deactivate()
+
+    def test_double_stop_is_idempotent_and_clean(self):
+        # A test that kills a node early and a fixture that stops every
+        # node later both call stop(): the second call must return at
+        # once, leak no event loop and leave no coroutine un-awaited.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            handle = serve(AuditServer(port=0))
+            handle.stop()
+            start = time.monotonic()
+            handle.stop(timeout=2.0)
+            elapsed = time.monotonic() - start
+            assert handle.loop.is_closed()
+            del handle
+            gc.collect()
+        assert elapsed < 1.0
+        leaked = [
+            str(w.message)
+            for w in caught
+            if issubclass(w.category, (RuntimeWarning, ResourceWarning))
+        ]
+        assert leaked == []
 
     def test_health_and_stats(self, audit_server):
         health = service_client.healthz(audit_server.host, audit_server.port)

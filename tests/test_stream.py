@@ -25,6 +25,7 @@ Five contracts under test:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import socket
@@ -35,6 +36,7 @@ import pytest
 
 from repro import api as repro_api
 from repro.api import Session
+from repro.api.merge import shard_bounds
 from repro.api.result import (
     BASE_SCHEMA_VERSION,
     SCHEMA_VERSION,
@@ -265,24 +267,24 @@ class TestStreamPrimitives:
         with pytest.raises(ValueError):
             ramp_chunk_bounds(10, 4, 0)
 
-    def test_trailer_merge_is_associative_and_strict(self):
+    @pytest.mark.parametrize("splits", [2, 3, 5])
+    def test_trailer_merge_is_associative_and_strict(self, splits):
+        bounds = shard_bounds(9, splits)
         payloads = [
             buffered(
                 {k: v[lo:hi] for k, v in dot_inputs(9).items()}
             ).payload
-            for lo, hi in ((0, 3), (3, 6), (6, 9))
+            for lo, hi in zip(bounds, bounds[1:])
         ]
         trailers = [stream_trailer_of_payload(p) for p in payloads]
-        left = merge_stream_trailers(
-            merge_stream_trailers(trailers[0], trailers[1]), trailers[2]
+        left = functools.reduce(merge_stream_trailers, trailers)
+        right = functools.reduce(
+            lambda acc, trailer: merge_stream_trailers(trailer, acc),
+            reversed(trailers),
         )
-        right = merge_stream_trailers(
-            trailers[0], merge_stream_trailers(trailers[1], trailers[2])
-        )
-        assert left == right
-        assert left == stream_trailer_of_payload(
-            buffered(dot_inputs(9)).payload
-        )
+        whole = stream_trailer_of_payload(buffered(dot_inputs(9)).payload)
+        assert render_stream_line(left) == render_stream_line(right)
+        assert render_stream_line(left) == render_stream_line(whole)
         bad = json.loads(json.dumps(trailers[0]))
         for entry in bad["params"].values():
             entry["bound"] = "1"
