@@ -33,7 +33,6 @@ logarithmic in the tuple width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from fractions import Fraction
@@ -58,107 +57,125 @@ _OPS = {
 Pattern = Union[str, Tuple["Pattern", ...]]
 
 
-@dataclass
 class _Parser:
-    tokens: List[Token]
-    pos: int = 0
+    """Recursive descent over a token list.
+
+    Keywords are reserved and no identifier or integer can spell a
+    symbol, so ``tok.text == "let"`` is exactly ``tok.is_keyword("let")``
+    (likewise for symbols), and the EOF token's empty text matches
+    neither.  The parser therefore tests ``tok.text`` alone.  Every site
+    reads the current token as ``self.tokens[self.pos]``.
+    """
+
+    __slots__ = ("tokens", "pos")
+
+    def __init__(self, tokens: List[Token]) -> None:
+        # ``tokenize`` ends the list with EOF; two more copies let the
+        # one-token lookahead in ``parse_expr`` and ``_begins_definition``
+        # read past the end without clamping the index.
+        self.tokens = tokens + [tokens[-1]] * 2
+        self.pos = 0
 
     # -- token plumbing -------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != TokenKind.EOF:
-            self.pos += 1
-        return tok
-
     def expect_symbol(self, sym: str) -> Token:
-        tok = self.advance()
-        if not tok.is_symbol(sym):
+        tok = self.tokens[self.pos]
+        if tok.text != sym:
             raise BeanSyntaxError(
                 f"expected {sym!r}, found {tok.describe()}", tok.line, tok.column
             )
+        self.pos += 1
         return tok
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.advance()
-        if not tok.is_keyword(word):
+        tok = self.tokens[self.pos]
+        if tok.text != word:
             raise BeanSyntaxError(
                 f"expected keyword {word!r}, found {tok.describe()}",
                 tok.line,
                 tok.column,
             )
+        self.pos += 1
         return tok
 
     def expect_ident(self) -> Token:
-        tok = self.advance()
+        tok = self.tokens[self.pos]
         if tok.kind != TokenKind.IDENT:
             raise BeanSyntaxError(
                 f"expected an identifier, found {tok.describe()}",
                 tok.line,
                 tok.column,
             )
+        self.pos += 1
         return tok
 
     def expect_int(self) -> int:
-        tok = self.advance()
+        tok = self.tokens[self.pos]
         if tok.kind != TokenKind.INT:
             raise BeanSyntaxError(
                 f"expected an integer, found {tok.describe()}", tok.line, tok.column
             )
+        self.pos += 1
         return int(tok.text)
 
+    def expect_end(self) -> None:
+        tok = self.tokens[self.pos]
+        if tok.kind != TokenKind.EOF:
+            raise BeanSyntaxError(
+                f"unexpected trailing input: {tok.describe()}", tok.line, tok.column
+            )
+
     def fail(self, message: str) -> BeanSyntaxError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return BeanSyntaxError(message, tok.line, tok.column)
 
     # -- types ----------------------------------------------------------------
 
     def parse_type(self) -> Type:
         left = self.parse_tensor_type()
-        if self.peek().is_symbol("+"):
-            self.advance()
+        if self.tokens[self.pos].text == "+":
+            self.pos += 1
             right = self.parse_type()
             return Sum(left, right)
         return left
 
     def parse_tensor_type(self) -> Type:
         left = self.parse_atom_type()
-        if self.peek().is_symbol("*") or self.peek().is_symbol("⊗"):
-            self.advance()
+        text = self.tokens[self.pos].text
+        if text == "*" or text == "⊗":
+            self.pos += 1
             right = self.parse_tensor_type()
             return Tensor(left, right)
         return left
 
     def parse_atom_type(self) -> Type:
-        tok = self.peek()
-        if tok.is_keyword("num") or tok.is_keyword("R"):
-            self.advance()
+        tok = self.tokens[self.pos]
+        text = tok.text
+        if text == "num" or text == "R":
+            self.pos += 1
             return NUM
-        if tok.is_keyword("unit"):
-            self.advance()
+        if text == "unit":
+            self.pos += 1
             return UNIT
-        if tok.is_symbol("!"):
-            self.advance()
+        if text == "!":
+            self.pos += 1
             return Discrete(self.parse_atom_type())
-        if tok.is_keyword("vec"):
-            self.advance()
+        if text == "vec":
+            self.pos += 1
             self.expect_symbol("(")
             n = self.expect_int()
             self.expect_symbol(")")
             return vector(n)
-        if tok.is_keyword("mat"):
-            self.advance()
+        if text == "mat":
+            self.pos += 1
             self.expect_symbol("(")
             rows = self.expect_int()
             self.expect_symbol(",")
             cols = self.expect_int()
             self.expect_symbol(")")
             return matrix(rows, cols)
-        if tok.is_symbol("("):
-            self.advance()
+        if text == "(":
+            self.pos += 1
             inner = self.parse_type()
             self.expect_symbol(")")
             return inner
@@ -167,14 +184,15 @@ class _Parser:
     # -- patterns --------------------------------------------------------------
 
     def parse_pattern(self) -> Pattern:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == TokenKind.IDENT:
-            return self.advance().text
-        if tok.is_symbol("("):
-            self.advance()
+            self.pos += 1
+            return tok.text
+        if tok.text == "(":
+            self.pos += 1
             parts: List[Pattern] = [self.parse_pattern()]
-            while self.peek().is_symbol(","):
-                self.advance()
+            while self.tokens[self.pos].text == ",":
+                self.pos += 1
                 parts.append(self.parse_pattern())
             self.expect_symbol(")")
             if len(parts) == 1:
@@ -185,59 +203,58 @@ class _Parser:
     # -- expressions -------------------------------------------------------------
 
     def parse_expr(self) -> A.Expr:
-        tok = self.peek()
-        if tok.is_keyword("let") or tok.is_keyword("dlet"):
+        tok = self.tokens[self.pos]
+        text = tok.text
+        if text == "let" or text == "dlet":
             # Iterate over the let-spine instead of recursing: benchmark
             # programs chain thousands of binders, and the rest of the
             # pipeline (IR lowering, sweeps) is iterative too.
             frames = []
-            while True:
-                tok = self.peek()
-                if not (tok.is_keyword("let") or tok.is_keyword("dlet")):
-                    break
-                discrete = tok.is_keyword("dlet")
-                self.advance()  # let / dlet
+            while text == "let" or text == "dlet":
+                self.pos += 1  # let / dlet
                 pattern = self.parse_pattern()
                 self.expect_symbol("=")
                 bound = self.parse_expr()
                 self.expect_keyword("in")
-                frames.append((pattern, bound, discrete))
+                frames.append((pattern, bound, text == "dlet"))
+                text = self.tokens[self.pos].text
             expr = self.parse_expr()
             for pattern, bound, discrete in reversed(frames):
                 expr = bind_pattern(pattern, bound, expr, discrete=discrete)
             return expr
-        if tok.is_keyword("case"):
+        if text == "case":
             return self.parse_case()
-        if tok.kind == TokenKind.KEYWORD and tok.text in _OPS:
-            self.advance()
+        op = _OPS.get(text)
+        if op is not None:
+            self.pos += 1
             left = self.parse_atom()
             right = self.parse_atom()
-            return A.PrimOp(_OPS[tok.text], left, right)
-        if tok.is_keyword("rnd"):
-            self.advance()
+            return A.PrimOp(op, left, right)
+        if text == "rnd":
+            self.pos += 1
             return A.Rnd(self.parse_atom())
-        if tok.is_keyword("inl") or tok.is_keyword("inr"):
+        if text == "inl" or text == "inr":
             return self.parse_injection()
-        if tok.is_symbol("!"):
-            self.advance()
+        if text == "!":
+            self.pos += 1
             return A.Bang(self.parse_atom())
         if (
             tok.kind == TokenKind.IDENT
-            and self._starts_atom(self.peek(1))
+            and self._starts_atom(self.tokens[self.pos + 1])
             and not self._begins_definition(self.pos + 1)
         ):
-            name = self.advance().text
+            self.pos += 1
             args = [self.parse_atom()]
-            while self._starts_atom(self.peek()) and not self._begins_definition(
-                self.pos
+            while self._starts_atom(self.tokens[self.pos]) and not (
+                self._begins_definition(self.pos)
             ):
                 args.append(self.parse_atom())
-            return A.Call(name, args)
+            return A.Call(text, args)
         return self.parse_atom()
 
     @staticmethod
     def _starts_atom(tok: Token) -> bool:
-        return tok.kind == TokenKind.IDENT or tok.is_symbol("(")
+        return tok.kind == TokenKind.IDENT or tok.text == "("
 
     def _begins_definition(self, idx: int) -> bool:
         """Whether the token at ``idx`` starts a new top-level definition.
@@ -246,26 +263,27 @@ class _Parser:
         a ``:`` or ``:=`` after the name (possibly inside the first
         parenthesized parameter), which no expression can produce.
         """
-        tok = self.tokens[min(idx, len(self.tokens) - 1)]
-        if tok.kind != TokenKind.IDENT:
+        tokens = self.tokens
+        if tokens[idx].kind != TokenKind.IDENT:
             return False
-        after = self.tokens[min(idx + 1, len(self.tokens) - 1)]
-        if after.is_symbol(":=") or after.is_symbol(":"):
+        after = tokens[idx + 1].text
+        if after == ":=" or after == ":":
             return True
-        if not after.is_symbol("("):
+        if after != "(":
             return False
         depth = 0
-        for j in range(idx + 1, len(self.tokens)):
-            t = self.tokens[j]
-            if t.is_symbol("("):
+        for j in range(idx + 1, len(tokens)):
+            tok = tokens[j]
+            text = tok.text
+            if text == "(":
                 depth += 1
-            elif t.is_symbol(")"):
+            elif text == ")":
                 depth -= 1
                 if depth == 0:
                     return False
-            elif t.is_symbol(":") or t.is_symbol(":="):
+            elif text == ":" or text == ":=":
                 return True
-            elif t.kind == TokenKind.EOF:
+            elif tok.kind == TokenKind.EOF:
                 return False
         return False
 
@@ -285,37 +303,39 @@ class _Parser:
         return A.Case(scrutinee, left_name, left, right_name, right)
 
     def parse_branch_name(self) -> str:
-        if self.peek().is_symbol("("):
-            self.advance()
+        if self.tokens[self.pos].text == "(":
+            self.pos += 1
             name = self.expect_ident().text
             self.expect_symbol(")")
             return name
         return self.expect_ident().text
 
     def parse_injection(self) -> A.Expr:
-        tok = self.advance()
+        tok = self.tokens[self.pos]  # inl / inr
+        self.pos += 1
         other: Type = UNIT
-        if self.peek().is_symbol("{"):
-            self.advance()
+        if self.tokens[self.pos].text == "{":
+            self.pos += 1
             other = self.parse_type()
             self.expect_symbol("}")
         body = self.parse_atom()
-        if tok.is_keyword("inl"):
+        if tok.text == "inl":
             return A.Inl(body, other)
         return A.Inr(body, other)
 
     def parse_atom(self) -> A.Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == TokenKind.IDENT:
-            return A.Var(self.advance().text)
-        if tok.is_symbol("("):
-            self.advance()
-            if self.peek().is_symbol(")"):
-                self.advance()
+            self.pos += 1
+            return A.Var(tok.text)
+        if tok.text == "(":
+            self.pos += 1
+            if self.tokens[self.pos].text == ")":
+                self.pos += 1
                 return A.UnitVal()
             parts = [self.parse_expr()]
-            while self.peek().is_symbol(","):
-                self.advance()
+            while self.tokens[self.pos].text == ",":
+                self.pos += 1
                 parts.append(self.parse_expr())
             self.expect_symbol(")")
             if len(parts) == 1:
@@ -329,8 +349,8 @@ class _Parser:
         """``@ n`` or ``@ n/d``: a declared bound in units of ε."""
         numerator = self.expect_int()
         denominator = 1
-        if self.peek().is_symbol("/"):
-            self.advance()
+        if self.tokens[self.pos].text == "/":
+            self.pos += 1
             denominator = self.expect_int()
         if denominator == 0:
             raise self.fail("grade annotation denominator cannot be zero")
@@ -339,20 +359,20 @@ class _Parser:
     def parse_definition(self) -> A.Definition:
         name = self.expect_ident().text
         raw_params: List[Tuple[Pattern, Type, Optional[Grade]]] = []
-        while self.peek().is_symbol("("):
-            self.advance()
+        while self.tokens[self.pos].text == "(":
+            self.pos += 1
             pattern = self.parse_pattern()
             self.expect_symbol(":")
             ty = self.parse_type()
             declared_grade: Optional[Grade] = None
-            if self.peek().is_symbol("@"):
-                self.advance()
+            if self.tokens[self.pos].text == "@":
+                self.pos += 1
                 declared_grade = self.parse_grade_annotation()
             self.expect_symbol(")")
             raw_params.append((pattern, ty, declared_grade))
         declared: Optional[Type] = None
-        if self.peek().is_symbol(":"):
-            self.advance()
+        if self.tokens[self.pos].text == ":":
+            self.pos += 1
             declared = self.parse_type()
         self.expect_symbol(":=")
         body = self.parse_expr()
@@ -369,7 +389,7 @@ class _Parser:
 
     def parse_program(self) -> A.Program:
         definitions = []
-        while self.peek().kind != TokenKind.EOF:
+        while self.tokens[self.pos].kind != TokenKind.EOF:
             definitions.append(self.parse_definition())
         if not definitions:
             raise self.fail("a program must contain at least one definition")
@@ -452,11 +472,7 @@ def parse_expression(source: str) -> A.Expr:
     """Parse a single Bean expression (no definitions)."""
     parser = _Parser(tokenize(source))
     expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != TokenKind.EOF:
-        raise BeanSyntaxError(
-            f"unexpected trailing input: {tok.describe()}", tok.line, tok.column
-        )
+    parser.expect_end()
     return expr
 
 
@@ -464,9 +480,5 @@ def parse_type(source: str) -> Type:
     """Parse a Bean type."""
     parser = _Parser(tokenize(source))
     ty = parser.parse_type()
-    tok = parser.peek()
-    if tok.kind != TokenKind.EOF:
-        raise BeanSyntaxError(
-            f"unexpected trailing input: {tok.describe()}", tok.line, tok.column
-        )
+    parser.expect_end()
     return ty

@@ -198,3 +198,36 @@ class TestDefinitions:
     def test_duplicate_definitions_rejected(self):
         with pytest.raises(ValueError):
             parse_program("F (x : num) := x\nF (y : num) := y")
+
+
+class TestTable1RoundTrip:
+    """Parsing printed Table-1 programs rebuilds the generated programs."""
+
+    @staticmethod
+    def _corpus():
+        from repro.core import Program, pretty_program
+        from repro.programs.generators import BENCHMARK_FAMILIES, TABLE1_SIZES
+
+        for family, sizes in TABLE1_SIZES.items():
+            for size in sizes + ([200] if family == "Horner" else []):
+                definition = BENCHMARK_FAMILIES[family](size)
+                yield definition, pretty_program(Program([definition]))
+
+    def test_lowered_ops_match_the_generated_programs(self):
+        from repro.ir.infer import lower_definition
+        from repro.ir.inline import count_ops
+
+        total = 0
+        for definition, source in self._corpus():
+            parsed = parse_program(source).main
+            ops = count_ops(lower_definition(parsed).ops)
+            assert ops == count_ops(lower_definition(definition).ops), source[:40]
+            total += ops
+        # One pass of the benchmark's ``infer`` corpus (Table 1 + Horner200).
+        assert total == 43_700
+
+    def test_reprinting_is_a_fixed_point(self):
+        from repro.core import Program, pretty_program
+
+        for _, source in self._corpus():
+            assert pretty_program(Program([parse_program(source).main])) == source

@@ -46,6 +46,7 @@ class TestFrontEndRobustness:
             pass
 
     @given(raw_text)
+    @example("f (x : vec(\u00b2)) := x")  # isdigit() but not int()-able
     def test_arbitrary_text(self, text):
         try:
             parse_program(text)
